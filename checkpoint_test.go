@@ -16,13 +16,13 @@ import (
 // dropped packets by the capture instant, short enough for CI.
 const ckDuration = 6 * time.Second
 
-func ckRun(t *testing.T, name string, p rica.Protocol, shards int) rica.ScenarioRun {
+func ckRun(t *testing.T, name string, p rica.Protocol) rica.ScenarioRun {
 	t.Helper()
 	spec, err := rica.ScenarioByName(name)
 	if err != nil {
 		t.Fatalf("ScenarioByName(%q): %v", name, err)
 	}
-	return rica.ScenarioRun{Scenario: spec, Protocol: p, Shards: shards, MaxDuration: ckDuration}
+	return rica.ScenarioRun{Scenario: spec, Protocol: p, MaxDuration: ckDuration}
 }
 
 // checkRoundTrip checkpoints r at instant at, resumes the snapshot in a
@@ -56,7 +56,7 @@ func checkRoundTrip(t *testing.T, r rica.ScenarioRun, at time.Duration) {
 // TestCheckpointResumeCatalog round-trips a snapshot mid-run for a
 // catalog cross-section × all five protocols: static chains, mobile
 // dense fields, jammers, and a failure schedule all pass through the
-// capture/replay/verify path, serially.
+// capture/replay/verify path.
 func TestCheckpointResumeCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog × protocol round-trip grid")
@@ -68,7 +68,7 @@ func TestCheckpointResumeCatalog(t *testing.T) {
 			name, p := name, p
 			t.Run(fmt.Sprintf("%s/%s", name, p), func(t *testing.T) {
 				t.Parallel()
-				checkRoundTrip(t, ckRun(t, name, p, 0), 2500*time.Millisecond)
+				checkRoundTrip(t, ckRun(t, name, p), 2500*time.Millisecond)
 			})
 		}
 	}
@@ -86,24 +86,7 @@ func TestCheckpointResumeInstants(t *testing.T) {
 		at := at
 		t.Run(at.String(), func(t *testing.T) {
 			t.Parallel()
-			checkRoundTrip(t, ckRun(t, "paper-baseline", rica.ProtocolRICA, 0), at)
-		})
-	}
-}
-
-// TestCheckpointResumeSharded round-trips under the sharded engine: the
-// snapshot of a -shards 8 run must resume (itself sharded, via the
-// descriptor) to the identical fingerprint.
-func TestCheckpointResumeSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded round trips")
-	}
-	t.Parallel()
-	for _, p := range []rica.Protocol{rica.ProtocolRICA, rica.ProtocolAODV} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			t.Parallel()
-			checkRoundTrip(t, ckRun(t, "dense-urban", p, 8), 3*time.Second)
+			checkRoundTrip(t, ckRun(t, "paper-baseline", rica.ProtocolRICA), at)
 		})
 	}
 }
@@ -116,7 +99,7 @@ func TestRunCheckpointedCompletes(t *testing.T) {
 		t.Skip("checkpointed full run")
 	}
 	t.Parallel()
-	r := ckRun(t, "chain-10", rica.ProtocolRICA, 0)
+	r := ckRun(t, "chain-10", rica.ProtocolRICA)
 	base, err := rica.SimulateScenario(r)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
@@ -149,7 +132,7 @@ func TestRunCheckpointedInterruptResume(t *testing.T) {
 		t.Skip("interrupt + resume")
 	}
 	t.Parallel()
-	r := ckRun(t, "dense-urban", rica.ProtocolBGCA, 0)
+	r := ckRun(t, "dense-urban", rica.ProtocolBGCA)
 	base, err := rica.SimulateScenario(r)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
@@ -215,7 +198,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 		t.Skip("damage sweep over a real snapshot")
 	}
 	t.Parallel()
-	r := ckRun(t, "chain-10", rica.ProtocolABR, 0)
+	r := ckRun(t, "chain-10", rica.ProtocolABR)
 	var buf bytes.Buffer
 	if err := rica.Checkpoint(r, time.Second, &buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)

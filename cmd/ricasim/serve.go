@@ -60,7 +60,7 @@ func serveMain(args []string) {
 		fatalf("serve: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "serve: control plane on http://%s (POST /jobs, GET /jobs/{id}, /healthz, /readyz, /metrics)\n", ln.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fatalf("serve: http: %v", err)
@@ -85,6 +85,26 @@ func serveMain(args []string) {
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "serve: drained with jobs interrupted — restart to resume them")
 		exitWith(exitCodeInterrupted)
+	}
+}
+
+// Connection bounds for every HTTP surface the binary serves. A client
+// that trickles its request header is cut off after
+// httpReadHeaderTimeout, and an idle keep-alive connection after
+// httpIdleTimeout, so slow or stalled clients cannot pin connections
+// forever. There is deliberately no write timeout:
+// /jobs/{id}/events?follow=1 streams for as long as the job runs.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in a server carrying the connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 }
 

@@ -186,6 +186,24 @@ func TestBatchManifestResume(t *testing.T) {
 	}
 }
 
+// TestGridSignaturePinned pins the manifest signature of a fixed small
+// grid. Journals written by earlier builds carry this exact hex in their
+// header, so a change to the signature text (or to how a spec
+// serializes into it) would silently stop them from resuming.
+func TestGridSignaturePinned(t *testing.T) {
+	spec := testSpec(2 * time.Second)
+	var cells []cell
+	for _, p := range []experiment.Protocol{experiment.RICA, experiment.AODV} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cells = append(cells, cell{spec: spec, protocol: p, seed: seed})
+		}
+	}
+	const want = "e2ceb2b325d5afe7"
+	if got := gridSignature(cells, 1, 2); got != want {
+		t.Errorf("gridSignature = %s, want %s", got, want)
+	}
+}
+
 // TestBatchInterruptThenManifestResume: Stop ends a batch mid-grid with
 // ErrInterrupted; re-running with the manifest restores exactly the
 // journaled cells and computes only the remainder.

@@ -222,11 +222,10 @@ type Descriptor struct {
 	HorizonNs int64 `json:"horizon_ns"`
 	// Protocol names the routing protocol under test.
 	Protocol string `json:"protocol"`
-	// Seed, SeedZero, Shards and MaxDurationNs mirror the fields of
+	// Seed, SeedZero and MaxDurationNs mirror the fields of
 	// rica.ScenarioRun / rica.SimConfig they came from.
 	Seed          int64 `json:"seed,omitempty"`
 	SeedZero      bool  `json:"seed_zero,omitempty"`
-	Shards        int   `json:"shards,omitempty"`
 	MaxDurationNs int64 `json:"max_duration_ns,omitempty"`
 	// Scenario is the validated scenario spec, verbatim (kind "scenario").
 	Scenario json.RawMessage `json:"scenario,omitempty"`

@@ -2,7 +2,7 @@
 // completed run. The checks are deliberately post-hoc — they consume
 // only a metrics.Summary (plus the pooled-packet gauge for leak
 // detection), so the same harness applies to a hand-built world, a
-// compiled scenario, the serial engine, or the sharded one. The fuzzer
+// compiled scenario, a single run or a batch cell. The fuzzer
 // and the catalog sweep both fail through this package, which keeps "the
 // simulation is self-consistent" defined in exactly one place.
 //

@@ -55,8 +55,12 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	body := io.LimitReader(r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+	// Unknown fields are rejected, as scenario.ParseJSON rejects them: a
+	// typo such as "trails" must not silently run a default job.
+	// Recovery of persisted job.json files stays lenient (serve.go).
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -187,7 +187,6 @@ func TestJobSpecValidation(t *testing.T) {
 		"negative trials":  {Scenarios: []string{"chain-10"}, Trials: -1},
 		"huge trials":      {Scenarios: []string{"chain-10"}, Trials: maxJobTrials + 1},
 		"bad inline spec":  {Specs: []json.RawMessage{json.RawMessage(`{"name":""}`)}},
-		"too many shards":  {Scenarios: []string{"chain-10"}, Shards: 11},
 	}
 	for name, spec := range cases {
 		if _, _, err := spec.normalize(); err == nil {
@@ -267,6 +266,74 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec: code %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsUnknownFields: POST /jobs decodes strictly, so a
+// typo'd field ("trails") or a retired one ("shards") is a 400 that
+// admits nothing, never a silently defaulted job.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	s := newTestServer(t, "ok", nil)
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"scenarios":["chain-10"],"trails":1000}`,
+		`{"scenarios":["chain-10"],"shards":4}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg["error"], "unknown field") {
+			t.Errorf("%s: code %d, error %q; want 400 naming the unknown field", body, resp.StatusCode, msg["error"])
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected submissions admitted %d job(s)", len(jobs))
+	}
+}
+
+// TestRecoveryToleratesRetiredFields: job.json recovery stays lenient,
+// so a job persisted with a field this binary no longer knows (the
+// retired "shards") is still re-queued and run by a restarted daemon.
+func TestRecoveryToleratesRetiredFields(t *testing.T) {
+	dir := ""
+	s := newTestServer(t, "ok", func(c *Config) { dir = c.Dir })
+	st := submitJob(t, s)
+	waitState(t, s, st.ID, StateDone)
+	s.Shutdown()
+
+	jobDir := filepath.Join(dir, "jobs", st.ID)
+	data, err := os.ReadFile(filepath.Join(jobDir, jobFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pj map[string]any
+	if err := json.Unmarshal(data, &pj); err != nil {
+		t.Fatal(err)
+	}
+	pj["spec"].(map[string]any)["shards"] = 4
+	if data, err = json.Marshal(pj); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobDir, jobFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Without a terminal state.json the job recovers as unfinished work.
+	if err := os.Remove(filepath.Join(jobDir, stateFile)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, "ok", func(c *Config) { c.Dir = dir })
+	defer s2.Shutdown()
+	final := waitState(t, s2, st.ID, StateDone)
+	if final.TotalCells != st.TotalCells {
+		t.Errorf("recovered total=%d, want %d", final.TotalCells, st.TotalCells)
 	}
 }
 
