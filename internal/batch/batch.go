@@ -401,14 +401,18 @@ func runCellAttempt(c cell, cfg *Config, tl *timeseries.Timeline) (CellResult, b
 		tl  timeseries.Timeline
 	}
 	ch := make(chan outcome, 1)
+	// The hook is read here, not in the attempt goroutine: an abandoned
+	// attempt can outlive the test that installed the hook, and must not
+	// race with that test's cleanup resetting it.
+	hook := testCellHook
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- outcome{res: poisonCell(c, fmt.Sprintf("panic: %v", r), string(debug.Stack()))}
 			}
 		}()
-		if testCellHook != nil {
-			testCellHook(c.spec.Name, c.protocol, c.seed)
+		if hook != nil {
+			hook(c.spec.Name, c.protocol, c.seed)
 		}
 		var local timeseries.Timeline
 		var lp *timeseries.Timeline

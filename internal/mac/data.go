@@ -82,7 +82,13 @@ type exchange struct {
 	// handed flips when the receiver takes delivery: from then until the
 	// ACK airtime closes the exchange, the sender's queue head is a stale
 	// reference to a packet the receiver now owns (see EachHandedOff).
+	// The exchange drops its own reference (pkt) at that point, since the
+	// receiver may release the packet to the process-global pool — and
+	// another run reuse it — before the ACK closes the exchange; the
+	// checkpoint export reads the identity recorded at Send instead.
 	handed bool
+	pktID  uint64
+	size   int
 }
 
 // Register installs the data delivery handler for terminal id.
@@ -111,6 +117,7 @@ func (d *DataPlane) Send(from, to int, pkt *packet.Packet, done func(SendResult)
 	}
 	x := d.allocX()
 	x.from, x.to, x.pkt, x.done = from, to, pkt, done
+	x.pktID, x.size = pkt.ID, pkt.Size
 	d.attempt(x, d.parkX(x))
 }
 
@@ -174,8 +181,10 @@ func (d *DataPlane) arrive(arrival time.Duration, slot, _ int) {
 	x.pkt.TraversedBps += x.class.ThroughputBps()
 	x.pkt.TraversedCSI += x.class.HopDistance()
 	x.handed = true
+	pkt := x.pkt
+	x.pkt = nil
 	if h := d.handlers[x.to]; h != nil {
-		h(x.pkt, arrival)
+		h(pkt, arrival)
 	}
 	ackDur := x.class.TransmitDuration(packet.SizeAck)
 	d.kernel.ScheduleArg(ackDur, d.ackFn, slot, 0)

@@ -55,3 +55,49 @@ func TestEachHandedOffBracketsAckWindow(t *testing.T) {
 	}
 	pkt.Release()
 }
+
+// TestExportExchangesAfterHandOffRelease is the regression test for
+// checkpoint snapshots diverging only when worlds run concurrently: a
+// destination releases the delivered packet while the exchange is still
+// inside its ACK airtime, and the process-global pool may hand that very
+// record to another run at once. The in-flight exchange must neither keep
+// a reference to the released packet nor read its identity from it — the
+// export reports the packet as it was sent.
+func TestExportExchangesAfterHandOffRelease(t *testing.T) {
+	k, m := testSetup(fixedPos{X: 0, Y: 0}, fixedPos{X: 100, Y: 0})
+	d := NewDataPlane(k, m)
+
+	pkt := packet.Get()
+	pkt.Type = packet.TypeData
+	pkt.ID = 77
+	pkt.Src, pkt.Dst = 0, 1
+	pkt.From, pkt.To = 0, 1
+	pkt.Size = 512
+
+	var during []ExchangeState
+	d.Register(1, func(p *packet.Packet, _ time.Duration) {
+		p.Release() // final destination: the packet goes back to the pool
+		// Another run checks records out of the shared pool meanwhile.
+		for i := 0; i < 4; i++ {
+			other := packet.Get()
+			other.ID, other.Size = 999, 64
+			defer other.Release()
+		}
+		during = d.ExportExchanges()
+	})
+	d.Send(0, 1, pkt, func(SendResult) {})
+	k.Run(time.Second)
+
+	if len(during) != 1 {
+		t.Fatalf("export inside the ACK window = %+v, want one exchange", during)
+	}
+	want := ExchangeState{From: 0, To: 1, Class: during[0].Class, Handed: true, PktID: 77, Size: 512}
+	if during[0] != want {
+		t.Fatalf("export inside the ACK window = %+v, want %+v", during[0], want)
+	}
+	for _, x := range d.x {
+		if x != nil && x.pkt != nil {
+			t.Fatal("exchange still references the packet the receiver released")
+		}
+	}
+}

@@ -300,7 +300,7 @@ func (nd *Node) EnqueueData(pkt *packet.Packet, next int) {
 		pkt.Release()
 		return
 	}
-	q.push(queued{pkt: pkt, at: nd.kernel.Now()})
+	q.push(queued{pkt: pkt, id: pkt.ID, at: nd.kernel.Now()})
 	if !q.busy {
 		nd.serve(next, q)
 	}
@@ -377,9 +377,13 @@ func (nd *Node) linkFailed(next int, q *linkQueue, failed *packet.Packet) {
 	nd.drainBuf = backlog[:0]
 }
 
-// queued is one buffered data packet with its enqueue time.
+// queued is one buffered data packet with its enqueue time. id is the
+// packet's id as enqueued, for the checkpoint export: once the data plane
+// hands a busy head to the next terminal, pkt is a stale reference to a
+// packet that may already be back in the process-global pool.
 type queued struct {
 	pkt *packet.Packet
+	id  uint64
 	at  time.Duration
 }
 

@@ -299,3 +299,53 @@ func TestDeliveredPacketsOrderPreservedPerLink(t *testing.T) {
 		}
 	}
 }
+
+// deliveryHook is a recorder that also runs fn on every delivery.
+type deliveryHook struct {
+	*recorder
+	fn func(*packet.Packet, time.Duration)
+}
+
+func (r deliveryHook) DataDelivered(p *packet.Packet, now time.Duration) {
+	r.recorder.DataDelivered(p, now)
+	r.fn(p, now)
+}
+
+// TestExportQueuesAfterHandOffRelease is the regression test for
+// checkpoint snapshots diverging only when worlds run concurrently: while
+// the per-hop ACK airs, the sender's busy queue head still points at the
+// packet the receiver has delivered and released — a record the
+// process-global pool may already have handed to another run. The export
+// must report the packet as it was enqueued, not whatever the record now
+// holds.
+func TestExportQueuesAfterHandOffRelease(t *testing.T) {
+	w := newChainWorld(t, 2, DefaultNodeConfig())
+	var during []QueueState
+	hook := deliveryHook{recorder: w.rec, fn: func(_ *packet.Packet, now time.Duration) {
+		// Just after the destination released the packet, inside the ACK
+		// airtime: another run checks records out of the shared pool.
+		w.kernel.Schedule(time.Microsecond, func(time.Duration) {
+			for i := 0; i < 4; i++ {
+				other := packet.Get()
+				other.ID = 999
+				defer other.Release()
+			}
+			during = w.nodes[0].ExportQueues()
+		})
+	}}
+	w.nodes[0].rec, w.nodes[1].rec = hook, hook
+
+	pkt := packet.Get()
+	pkt.Type, pkt.ID, pkt.Src, pkt.Dst, pkt.Size = packet.TypeData, 77, 0, 1, packet.SizeData
+	w.nodes[0].OriginateData(pkt, 0)
+	w.kernel.Run(time.Second)
+
+	if len(w.rec.delivered) != 1 {
+		t.Fatalf("delivered %d packets, want 1", len(w.rec.delivered))
+	}
+	want := QueueState{To: 1, Busy: true, Items: []QueuedPacket{{PktID: 77}}}
+	if len(during) != 1 || during[0].To != want.To || during[0].Busy != want.Busy ||
+		len(during[0].Items) != 1 || during[0].Items[0] != want.Items[0] {
+		t.Fatalf("queue export inside the ACK window = %+v, want [%+v]", during, want)
+	}
+}

@@ -47,7 +47,7 @@ const (
 	// Routing.
 	CFloodSuppressed // flood copies dropped as duplicate/non-improving
 	CHistorySpills   // history entries too wide for the packed table
-	CSPTRecomputes   // link-state shortest-path tree rebuilds
+	CSPTRecomputes   // link-state forwarding-view invalidations consumed by a lookup
 	// Traffic and end-of-run accounting.
 	CTrafficGenerated // data packets originated by the workload
 	CGossipInfections // gossip rumor infections (first receipt per terminal × rumor)

@@ -1,5 +1,7 @@
 package routing
 
+import "slices"
+
 // Graph is a weighted adjacency structure over terminals 0..N-1, used by
 // the link-state protocol's per-node topology views. Edge weights are the
 // CSI hop distances of the paper's cost model.
@@ -8,15 +10,19 @@ package routing
 // paper-scale degree is around ten, where a binary-searched slice beats a
 // map on every operation, iteration order is deterministic without a
 // per-visit sort, and the Dijkstra inner loop walks contiguous memory.
+//
+// Forwarding lookups are demand-driven (NextHop): the graph keeps one
+// resumable shortest-path tree and settles it only as far as the asked
+// destination. The tree is re-seeded when the graph's version — which
+// moves exactly when an edge is inserted, removed or re-weighted — differs
+// from the version it was seeded at.
 type Graph struct {
-	n   int
-	adj [][]gedge
+	n       int
+	adj     [][]gedge
+	version uint64
 
-	// spt is the reusable ShortestPaths workspace. A link-state terminal
-	// recomputes its tree on every topology change — the single largest
-	// allocation source of the figure pipeline before the scratch was
-	// recycled.
-	spt sptScratch
+	tree  sptTree
+	merge []gedge // ReplaceLinks scratch, recycled between calls
 }
 
 // gedge is one directed half of an undirected edge.
@@ -25,14 +31,31 @@ type gedge struct {
 	w  float64
 }
 
-type sptScratch struct {
-	heap []distItem
-	done []bool
+// Link is one advertised incident link: a neighbour and its CSI hop
+// distance. It is the link-state LSA payload entry.
+type Link struct {
+	Neighbor int
+	Cost     float64
+}
+
+// sptTree is a partially settled Dijkstra run from src over the graph as
+// it stood at version. Settled nodes (done) hold their final distance and
+// first hop; heap holds the frontier the next lookup resumes from, and pos
+// each node's index in it. The buffers are recycled across re-seeds, so
+// the steady state allocates nothing.
+type sptTree struct {
+	src     int // -1 until the first lookup seeds the tree
+	version uint64
+	next    []int32
+	dist    []float64
+	done    []bool
+	pos     []int32
+	heap    []int32
 }
 
 // NewGraph returns an empty graph over n terminals.
 func NewGraph(n int) *Graph {
-	return &Graph{n: n, adj: make([][]gedge, n)}
+	return &Graph{n: n, adj: make([][]gedge, n), tree: sptTree{src: -1}}
 }
 
 // N reports the number of terminals.
@@ -54,24 +77,37 @@ func (g *Graph) edgeIdx(u, v int) (int, bool) {
 	return lo, lo < len(es) && int(es[lo].to) == v
 }
 
-func (g *Graph) setHalf(u, v int, w float64) {
+// setHalf installs u→v with weight w and reports whether that changed
+// anything.
+func (g *Graph) setHalf(u, v int, w float64) bool {
 	i, ok := g.edgeIdx(u, v)
 	if ok {
+		if g.adj[u][i].w == w {
+			return false
+		}
 		g.adj[u][i].w = w
-		return
+		return true
 	}
 	es := append(g.adj[u], gedge{})
 	copy(es[i+1:], es[i:])
 	es[i] = gedge{to: int32(v), w: w}
 	g.adj[u] = es
+	return true
 }
 
-func (g *Graph) dropHalf(u, v int) {
-	if i, ok := g.edgeIdx(u, v); ok {
+// dropHalf removes u→v and reports whether it was present.
+func (g *Graph) dropHalf(u, v int) bool {
+	i, ok := g.edgeIdx(u, v)
+	if ok {
 		es := g.adj[u]
 		g.adj[u] = append(es[:i], es[i+1:]...)
 	}
+	return ok
 }
+
+// usable reports whether w is an edge weight; anything else removes the
+// edge.
+func usable(w float64) bool { return w > 0 && w < InfiniteHops }
 
 // SetEdge installs the undirected edge (u, v) with weight w, replacing any
 // previous weight. Non-positive or infinite weights remove the edge.
@@ -79,13 +115,17 @@ func (g *Graph) SetEdge(u, v int, w float64) {
 	if u == v {
 		return
 	}
-	if w <= 0 || w >= InfiniteHops {
-		g.dropHalf(u, v)
-		g.dropHalf(v, u)
-		return
+	var changed bool
+	if usable(w) {
+		changed = g.setHalf(u, v, w)
+		changed = g.setHalf(v, u, w) || changed
+	} else {
+		changed = g.dropHalf(u, v)
+		changed = g.dropHalf(v, u) || changed
 	}
-	g.setHalf(u, v, w)
-	g.setHalf(v, u, w)
+	if changed {
+		g.version++
+	}
 }
 
 // RemoveEdge deletes the undirected edge (u, v).
@@ -99,13 +139,57 @@ func (g *Graph) Edge(u, v int) (float64, bool) {
 	return 0, false
 }
 
-// ClearNode removes every edge incident to u (a terminal whose LSA now
-// advertises a different neighbour set).
-func (g *Graph) ClearNode(u int) {
-	for _, e := range g.adj[u] {
-		g.dropHalf(int(e.to), u)
+// ReplaceLinks makes links u's complete set of incident edges — a
+// terminal's LSA replacing its previous advertisement. The result equals
+// removing every edge of u and then calling SetEdge(u, l.Neighbor, l.Cost)
+// for each link in order (so self-links and unusable costs are dropped,
+// and of duplicate neighbours the last entry wins), but it is one sorted
+// merge of the old and new lists: only far halves that differ are touched,
+// and an advertisement that changes nothing leaves the graph and its
+// version alone. links must be sorted by neighbour id.
+func (g *Graph) ReplaceLinks(u int, links []Link) {
+	old := g.adj[u]
+	out := g.merge[:0]
+	changed := false
+	i := 0
+	for k := 0; k < len(links); k++ {
+		v := links[k].Neighbor
+		if k+1 < len(links) {
+			if nv := links[k+1].Neighbor; nv == v {
+				continue
+			} else if nv < v {
+				panic("routing: ReplaceLinks links not sorted by neighbour")
+			}
+		}
+		w := links[k].Cost
+		if v == u || !usable(w) {
+			continue
+		}
+		for ; i < len(old) && int(old[i].to) < v; i++ {
+			g.dropHalf(int(old[i].to), u)
+			changed = true
+		}
+		if i < len(old) && int(old[i].to) == v {
+			if old[i].w != w {
+				g.setHalf(v, u, w)
+				changed = true
+			}
+			i++
+		} else {
+			g.setHalf(v, u, w)
+			changed = true
+		}
+		out = append(out, gedge{to: int32(v), w: w})
 	}
-	g.adj[u] = g.adj[u][:0]
+	for ; i < len(old); i++ {
+		g.dropHalf(int(old[i].to), u)
+		changed = true
+	}
+	if changed {
+		g.adj[u] = append(old[:0], out...)
+		g.version++
+	}
+	g.merge = out[:0]
 }
 
 // CopyFrom replaces g's edges with src's. Both graphs must cover the same
@@ -115,8 +199,15 @@ func (g *Graph) CopyFrom(src *Graph) {
 	if g.n != src.n {
 		panic("routing: CopyFrom across different graph sizes")
 	}
+	changed := false
 	for i := range g.adj {
-		g.adj[i] = append(g.adj[i][:0], src.adj[i]...)
+		if !slices.Equal(g.adj[i], src.adj[i]) {
+			g.adj[i] = append(g.adj[i][:0], src.adj[i]...)
+			changed = true
+		}
+	}
+	if changed {
+		g.version++
 	}
 }
 
@@ -124,110 +215,125 @@ func (g *Graph) CopyFrom(src *Graph) {
 // importing the channel package here.
 const InfiniteHops = 1e9
 
-// ShortestPaths runs Dijkstra from src and returns, for every terminal,
-// the first hop on a shortest path from src (or -1 if unreachable) and the
-// total distance. The next-hop array is what link-state forwarding uses.
-// The two result slices are appended to next and dist (pass buffers from
-// the previous recompute to make the call allocation-free in the steady
-// state); the internal queue and visit set are recycled on the graph.
-func (g *Graph) ShortestPaths(src int, next []int, dist []float64) ([]int, []float64) {
-	next = next[:0]
-	dist = dist[:0]
-	for i := 0; i < g.n; i++ {
-		next = append(next, -1)
-		dist = append(dist, InfiniteHops)
+// NextHop returns the first hop on a shortest path from src to dst, or -1
+// if dst is unreachable or is src.
+//
+// It resumes the graph's shortest-path tree from src, settling nodes in
+// (distance, id) order only until dst is settled or the frontier is empty.
+// The settle order is that of a full Dijkstra run and a settled node's
+// first hop is final, so every answer equals the full run's; a later
+// lookup continues where this one stopped. The tree is re-seeded, in
+// O(N), only when src or the graph's version changed since it was seeded.
+func (g *Graph) NextHop(src, dst int) int {
+	t := &g.tree
+	if t.src != src || t.version != g.version {
+		g.seed(src)
 	}
-	dist[src] = 0
-
-	if cap(g.spt.done) < g.n {
-		g.spt.done = make([]bool, g.n)
-	}
-	done := g.spt.done[:g.n]
-	for i := range done {
-		done[i] = false
-	}
-	pq := distHeap(g.spt.heap[:0])
-	pq.push(distItem{node: src, dist: 0})
-	for len(pq) > 0 {
-		it := pq.pop()
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
+	for !t.done[dst] && len(t.heap) > 0 {
+		u := t.pop()
+		t.done[u] = true
 		// Edge lists are sorted by neighbour id, so equal-cost tie-breaks
 		// relax in deterministic order for reproducible trials.
 		for _, e := range g.adj[u] {
-			v := int(e.to)
-			nd := dist[u] + e.w
-			if nd < dist[v] {
-				dist[v] = nd
-				if u == src {
-					next[v] = v
+			v := e.to
+			nd := t.dist[u] + e.w
+			if nd < t.dist[v] {
+				t.dist[v] = nd
+				if u == int32(src) {
+					t.next[v] = v
 				} else {
-					next[v] = next[u]
+					t.next[v] = t.next[u]
 				}
-				pq.push(distItem{node: v, dist: nd})
+				t.push(v)
 			}
 		}
 	}
-	g.spt.heap = pq[:0]
-	return next, dist
+	return int(t.next[dst])
 }
 
-type distItem struct {
-	node int
-	dist float64
-}
-
-// distHeap is a hand-rolled binary min-heap over (dist, node). The
-// ordering has no ties — node ids break them — so the pop sequence is the
-// unique sorted frontier regardless of internal layout, and avoiding
-// container/heap spares an interface boxing per operation.
-type distHeap []distItem
-
-func (h distHeap) less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+// seed resets the tree to src alone on the frontier.
+func (g *Graph) seed(src int) {
+	t := &g.tree
+	t.src, t.version = src, g.version
+	t.next = slices.Grow(t.next[:0], g.n)[:g.n]
+	t.dist = slices.Grow(t.dist[:0], g.n)[:g.n]
+	t.done = slices.Grow(t.done[:0], g.n)[:g.n]
+	t.pos = slices.Grow(t.pos[:0], g.n)[:g.n]
+	for i := range t.next {
+		t.next[i] = -1
+		t.dist[i] = InfiniteHops
+		t.done[i] = false
+		t.pos[i] = -1
 	}
-	return h[i].node < h[j].node
+	t.dist[src] = 0
+	t.heap = t.heap[:0]
+	t.push(int32(src))
 }
 
-func (h *distHeap) push(it distItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
+// The frontier is a hand-rolled indexed binary min-heap of node ids keyed
+// by (dist, id). Each unsettled, reached node sits in it exactly once —
+// pos maps a node to its heap index, -1 when absent — and an improved
+// distance sifts the node up in place (decrease-key), so the heap never
+// holds stale entries. The ordering has no ties, so the pop sequence is
+// the unique sorted frontier regardless of internal layout.
+
+func (t *sptTree) less(a, b int32) bool {
+	if t.dist[a] != t.dist[b] {
+		return t.dist[a] < t.dist[b]
+	}
+	return a < b
+}
+
+// push inserts v, or sifts it up after its distance decreased.
+func (t *sptTree) push(v int32) {
+	i := int(t.pos[v])
+	if i < 0 {
+		i = len(t.heap)
+		t.heap = append(t.heap, v)
+	}
+	h := t.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / 2
+		if !t.less(v, h[p]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+		h[i] = h[p]
+		t.pos[h[i]] = int32(i)
+		i = p
 	}
+	h[i] = v
+	t.pos[v] = int32(i)
 }
 
-func (h *distHeap) pop() distItem {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old[0] = old[n-1]
-	*h = old[:n-1]
-	n--
+// pop removes and returns the frontier's minimum.
+func (t *sptTree) pop() int32 {
+	h := t.heap
+	top := h[0]
+	t.pos[top] = -1
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	t.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && h.less(right, left) {
-			least = right
+		if r := least + 1; r < n && t.less(h[r], h[least]) {
+			least = r
 		}
-		if !h.less(least, i) {
+		if !t.less(h[least], last) {
 			break
 		}
-		(*h)[i], (*h)[least] = (*h)[least], (*h)[i]
+		h[i] = h[least]
+		t.pos[h[i]] = int32(i)
 		i = least
 	}
+	h[i] = last
+	t.pos[last] = int32(i)
 	return top
 }

@@ -49,11 +49,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// LinkEntry is one advertised incident link.
-type LinkEntry struct {
-	Neighbor int
-	Cost     float64 // CSI hop distance
-}
+// LinkEntry is one advertised incident link: a neighbour and its CSI hop
+// distance. LSAs carry a slice of them sorted by neighbour id, the order
+// routing.Graph.ReplaceLinks merges in.
+type LinkEntry = routing.Link
 
 // Agent is one terminal's link-state instance.
 type Agent struct {
@@ -73,9 +72,9 @@ type Agent struct {
 	relay        *routing.DelayedSender
 	obs          *obs.Registry
 
-	sptNext  []int
-	sptDist  []float64 // recycled alongside sptNext between recomputes
-	sptDirty bool
+	// viewDirty records that the view was touched since the last lookup;
+	// the next lookup consumes it as one forwarding-state change.
+	viewDirty bool
 }
 
 var _ network.Agent = (*Agent)(nil)
@@ -84,15 +83,15 @@ var _ network.Agent = (*Agent)(nil)
 // boot is shared read-only across terminals; each agent copies it.
 func New(env network.Env, cfg Config, boot *routing.Graph) *Agent {
 	a := &Agent{
-		env:      env,
-		cfg:      cfg,
-		relay:    routing.NewDelayedSender(env),
-		hist:     routing.NewHistory(),
-		topo:     routing.NewGraph(env.NumNodes()),
-		myLinks:  make(map[int]float64),
-		lastSeen: make(map[int]time.Duration),
-		knownSeq: make(map[int]uint32),
-		sptDirty: true,
+		env:       env,
+		cfg:       cfg,
+		relay:     routing.NewDelayedSender(env),
+		hist:      routing.NewHistory(),
+		topo:      routing.NewGraph(env.NumNodes()),
+		myLinks:   make(map[int]float64),
+		lastSeen:  make(map[int]time.Duration),
+		knownSeq:  make(map[int]uint32),
+		viewDirty: true,
 	}
 	if op, ok := env.(routing.ObsProvider); ok {
 		a.obs = op.Obs()
@@ -152,7 +151,7 @@ func (a *Agent) sweepSilent(now time.Duration) {
 		changed = true
 	}
 	if changed {
-		a.sptDirty = true
+		a.viewDirty = true
 		a.scheduleFlood(now)
 	}
 }
@@ -183,7 +182,7 @@ func (a *Agent) noteBeacon(from int, now time.Duration) {
 	}
 	a.myLinks[from] = cost
 	a.topo.SetEdge(a.env.ID(), from, cost)
-	a.sptDirty = true
+	a.viewDirty = true
 	a.scheduleFlood(now)
 }
 
@@ -253,35 +252,36 @@ func (a *Agent) handleLSA(pkt *packet.Packet, now time.Duration) {
 // newerSeq compares LSA generations with wraparound tolerance.
 func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }
 
-// applyLSA replaces the origin's incident links in this terminal's view.
+// applyLSA replaces the origin's incident links in this terminal's view
+// with the advertised ones, diffing against what the view already holds.
 func (a *Agent) applyLSA(pkt *packet.Packet) {
 	entries, ok := pkt.Payload.([]LinkEntry)
 	if !ok {
 		return
 	}
-	origin := pkt.Src
-	a.topo.ClearNode(origin)
-	for _, e := range entries {
-		a.topo.SetEdge(origin, e.Neighbor, e.Cost)
-	}
-	a.sptDirty = true
+	a.topo.ReplaceLinks(pkt.Src, entries)
+	a.viewDirty = true
 }
 
-// nextHop answers from the cached shortest-path tree, recomputing only
-// when the view changed. A table-driven protocol has no per-destination
-// install/invalidate churn, so each SPT recompute is reported as one
-// route install to telemetry-wired environments — the closest analogue
-// of "the forwarding state changed".
+// nextHop answers from the view's demand-driven shortest-path tree
+// (routing.Graph.NextHop), which settles only as far as dst and is
+// re-seeded only when an edge of the view actually changed.
+//
+// A table-driven protocol has no per-destination install/invalidate churn,
+// so the first lookup after any view update (beacon class change, sweep or
+// applied LSA — whether or not it changed an edge) counts as one
+// forwarding-view invalidation and is reported as one route install to
+// telemetry-wired environments, the closest analogue of "the forwarding
+// state changed".
 func (a *Agent) nextHop(dst int) int {
-	if a.sptDirty {
-		a.sptNext, a.sptDist = a.topo.ShortestPaths(a.env.ID(), a.sptNext, a.sptDist)
-		a.sptDirty = false
+	if a.viewDirty {
+		a.viewDirty = false
 		a.obs.Inc(obs.CSPTRecomputes)
 		if to, ok := a.env.(routing.TableObserver); ok {
 			to.NoteRouteInstalled()
 		}
 	}
-	return a.sptNext[dst]
+	return a.topo.NextHop(a.env.ID(), dst)
 }
 
 // RouteData implements network.Agent: pure Dijkstra forwarding. There is

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,12 +162,25 @@ func TestPendingDropAll(t *testing.T) {
 	}
 }
 
+// lookupAll asks g's demand-driven tree for every destination from src,
+// in id order, and returns the answers — with the settled distances — as
+// full-settle style arrays.
+func lookupAll(g *Graph, src int) ([]int, []float64) {
+	next := make([]int, g.N())
+	dist := make([]float64, g.N())
+	for dst := range next {
+		next[dst] = g.NextHop(src, dst)
+		dist[dst] = g.tree.dist[dst]
+	}
+	return next, dist
+}
+
 func TestDijkstraLineGraph(t *testing.T) {
 	g := NewGraph(4)
 	g.SetEdge(0, 1, 1)
 	g.SetEdge(1, 2, 1.67)
 	g.SetEdge(2, 3, 5)
-	next, dist := g.ShortestPaths(0, nil, nil)
+	next, dist := lookupAll(g, 0)
 	if next[3] != 1 {
 		t.Fatalf("next hop toward 3 = %d, want 1", next[3])
 	}
@@ -184,7 +198,7 @@ func TestDijkstraPrefersCheapLongPath(t *testing.T) {
 	g.SetEdge(0, 2, 5)
 	g.SetEdge(0, 1, 1)
 	g.SetEdge(1, 2, 1)
-	next, dist := g.ShortestPaths(0, nil, nil)
+	next, dist := lookupAll(g, 0)
 	if next[2] != 1 {
 		t.Fatalf("next hop = %d, want detour via 1", next[2])
 	}
@@ -197,7 +211,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := NewGraph(4)
 	g.SetEdge(0, 1, 1)
 	// 2,3 disconnected.
-	next, dist := g.ShortestPaths(0, nil, nil)
+	next, dist := lookupAll(g, 0)
 	if next[2] != -1 || dist[2] < InfiniteHops {
 		t.Fatalf("unreachable node: next %d dist %v", next[2], dist[2])
 	}
@@ -207,9 +221,11 @@ func TestDijkstraEdgeRemoval(t *testing.T) {
 	g := NewGraph(3)
 	g.SetEdge(0, 1, 1)
 	g.SetEdge(1, 2, 1)
+	if next := g.NextHop(0, 2); next != 1 {
+		t.Fatalf("next hop toward 2 = %d before removal, want 1", next)
+	}
 	g.RemoveEdge(1, 2)
-	next, _ := g.ShortestPaths(0, nil, nil)
-	if next[2] != -1 {
+	if next := g.NextHop(0, 2); next != -1 {
 		t.Fatal("removed edge still routable")
 	}
 	if _, ok := g.Edge(1, 2); ok {
@@ -223,7 +239,7 @@ func TestDijkstraClearNode(t *testing.T) {
 	g.SetEdge(1, 2, 1)
 	g.SetEdge(1, 3, 1)
 	g.ClearNode(1)
-	next, _ := g.ShortestPaths(0, nil, nil)
+	next, _ := lookupAll(g, 0)
 	for _, dst := range []int{1, 2, 3} {
 		if next[dst] != -1 {
 			t.Fatalf("route to %d survived ClearNode(1)", dst)
@@ -239,15 +255,17 @@ func TestDijkstraDeterministic(t *testing.T) {
 	g.SetEdge(0, 2, 1)
 	g.SetEdge(1, 3, 1)
 	g.SetEdge(2, 3, 1)
-	first, _ := g.ShortestPaths(0, nil, nil)
+	first := g.NextHop(0, 3)
 	for i := 0; i < 50; i++ {
-		next, _ := g.ShortestPaths(0, nil, nil)
-		if next[3] != first[3] {
+		g.ClearNode(3)
+		g.SetEdge(1, 3, 1)
+		g.SetEdge(2, 3, 1)
+		if next := g.NextHop(0, 3); next != first {
 			t.Fatal("equal-cost tie-break is nondeterministic")
 		}
 	}
-	if first[3] != 1 {
-		t.Fatalf("tie-break picked %d, want lowest id 1", first[3])
+	if first != 1 {
+		t.Fatalf("tie-break picked %d, want lowest id 1", first)
 	}
 }
 
@@ -266,7 +284,7 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		_, dist := g.ShortestPaths(0, nil, nil)
+		_, dist := lookupAll(g, 0)
 		brute := bruteDistances(g, 0)
 		for v := 0; v < n; v++ {
 			if diff := dist[v] - brute[v]; diff > 1e-9 || diff < -1e-9 {
@@ -298,6 +316,233 @@ func bruteDistances(g *Graph, src int) []float64 {
 		}
 	}
 	return dist
+}
+
+// ClearNode removes every edge incident to u: with SetEdge, the reference
+// edit ReplaceLinks is checked against.
+func (g *Graph) ClearNode(u int) {
+	for _, e := range g.adj[u] {
+		g.dropHalf(int(e.to), u)
+	}
+	if len(g.adj[u]) > 0 {
+		g.version++
+	}
+	g.adj[u] = g.adj[u][:0]
+}
+
+// ShortestPaths is the full-settle reference oracle for NextHop: a plain
+// O(N²) Dijkstra from src that settles every reachable terminal in the
+// same (distance, id) order and relaxes edges in neighbour-id order. It
+// returns, for every terminal, the first hop on a shortest path from src
+// (-1 if unreachable or src itself) and the total distance, appended to
+// next and dist.
+func (g *Graph) ShortestPaths(src int, next []int, dist []float64) ([]int, []float64) {
+	next, dist = next[:0], dist[:0]
+	for i := 0; i < g.n; i++ {
+		next = append(next, -1)
+		dist = append(dist, InfiniteHops)
+	}
+	dist[src] = 0
+	done := make([]bool, g.n)
+	for {
+		u := -1
+		for v := 0; v < g.n; v++ {
+			if !done[v] && dist[v] < InfiniteHops && (u < 0 || dist[v] < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return next, dist
+		}
+		done[u] = true
+		for _, e := range g.adj[u] {
+			v := int(e.to)
+			if nd := dist[u] + e.w; nd < dist[v] {
+				dist[v] = nd
+				if u == src {
+					next[v] = v
+				} else {
+					next[v] = next[u]
+				}
+			}
+		}
+	}
+}
+
+// paperCosts are the four CSI hop distances of the paper's classes A–D;
+// so few distinct weights make equal-cost ties dense.
+var paperCosts = []float64{1, 1.67, 3.33, 5}
+
+// edgeLists deep-copies g's adjacency, for before/after comparisons.
+func edgeLists(g *Graph) [][]gedge {
+	out := make([][]gedge, g.N())
+	for u := range out {
+		out[u] = append([]gedge(nil), g.adj[u]...)
+	}
+	return out
+}
+
+func sameEdgeLists(a, b [][]gedge) bool {
+	for u := range a {
+		if len(a[u]) != len(b[u]) {
+			return false
+		}
+		for i := range a[u] {
+			if a[u][i] != b[u][i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// randomLinks draws an advertisement for u as the diff-apply edits see
+// them: sorted by neighbour, with duplicate neighbours, self-links and
+// non-positive or ≥InfiniteHops costs mixed in.
+func randomLinks(rng *rand.Rand, n, u int) []Link {
+	var links []Link
+	for v := 0; v < n; v++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		for k := 1 + rng.Intn(3)/2; k > 0; k-- {
+			c := paperCosts[rng.Intn(len(paperCosts))]
+			switch rng.Intn(12) {
+			case 0:
+				c = 0
+			case 1:
+				c = -1
+			case 2:
+				c = InfiniteHops
+			}
+			links = append(links, Link{Neighbor: v, Cost: c})
+		}
+	}
+	if rng.Intn(4) == 0 {
+		links = append(links, Link{Neighbor: u, Cost: 1})
+		sort.SliceStable(links, func(i, j int) bool { return links[i].Neighbor < links[j].Neighbor })
+	}
+	return links
+}
+
+// TestNextHopMatchesFullSettle is the property test for the demand-driven
+// tree: on random graphs of 2–64 terminals weighted with the paper's four
+// costs, random edits (SetEdge, RemoveEdge, ClearNode, ReplaceLinks) are
+// interleaved with lookups in random destination order, and every answer
+// must equal the full-settle reference's — next hop (-1 for unreachable
+// terminals) and distance. Each edit must move the version exactly when it
+// changed some edge.
+func TestNextHopMatchesFullSettle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(63)
+		g := NewGraph(n)
+		density := 1 + rng.Intn(6)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Intn(n) < density {
+					g.SetEdge(u, v, paperCosts[rng.Intn(len(paperCosts))])
+				}
+			}
+		}
+		src := rng.Intn(n)
+		for step := 0; step < 60; step++ {
+			before, ver := edgeLists(g), g.version
+			u, v := rng.Intn(n), rng.Intn(n)
+			switch rng.Intn(6) {
+			case 0:
+				g.SetEdge(u, v, paperCosts[rng.Intn(len(paperCosts))])
+			case 1:
+				g.RemoveEdge(u, v)
+			case 2:
+				g.ClearNode(u)
+			case 3:
+				g.ReplaceLinks(u, randomLinks(rng, n, u))
+			case 4:
+				// Re-advertise u's current links unchanged: a no-op LSA.
+				var links []Link
+				for _, e := range g.adj[u] {
+					links = append(links, Link{Neighbor: int(e.to), Cost: e.w})
+				}
+				g.ReplaceLinks(u, links)
+			case 5:
+				src = u
+			}
+			if changed := !sameEdgeLists(before, edgeLists(g)); changed != (g.version != ver) {
+				t.Fatalf("trial %d step %d: edges changed %v but version %d -> %d", trial, step, changed, ver, g.version)
+			}
+
+			wantNext, wantDist := g.ShortestPaths(src, nil, nil)
+			for _, dst := range rng.Perm(n)[:1+rng.Intn(n)] {
+				next, dist := g.NextHop(src, dst), g.tree.dist[dst]
+				if next != wantNext[dst] || dist != wantDist[dst] {
+					t.Fatalf("trial %d step %d: NextHop(%d, %d) = (%d, %v), full settle (%d, %v)",
+						trial, step, src, dst, next, dist, wantNext[dst], wantDist[dst])
+				}
+			}
+		}
+	}
+}
+
+// TestReplaceLinksMatchesClearAndSet pins the diff-apply to the edit it
+// replaces: ReplaceLinks(u, links) must leave exactly the edge lists that
+// ClearNode(u) plus one SetEdge per link, in order, leaves — for sorted
+// links with duplicates, self-links and unusable costs.
+func TestReplaceLinksMatchesClearAndSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(63)
+		diff, ref := NewGraph(n), NewGraph(n)
+		for k := 0; k < n*2; k++ {
+			u, v, w := rng.Intn(n), rng.Intn(n), paperCosts[rng.Intn(len(paperCosts))]
+			diff.SetEdge(u, v, w)
+			ref.SetEdge(u, v, w)
+		}
+		for step := 0; step < 20; step++ {
+			u := rng.Intn(n)
+			links := randomLinks(rng, n, u)
+			diff.ReplaceLinks(u, links)
+			ref.ClearNode(u)
+			for _, l := range links {
+				ref.SetEdge(u, l.Neighbor, l.Cost)
+			}
+			if !sameEdgeLists(edgeLists(diff), edgeLists(ref)) {
+				t.Fatalf("trial %d step %d: ReplaceLinks(%d, %v) diverged from ClearNode+SetEdge", trial, step, u, links)
+			}
+		}
+	}
+}
+
+func TestReplaceLinksRejectsUnsorted(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unsorted links were accepted")
+		}
+	}()
+	NewGraph(4).ReplaceLinks(0, []Link{{Neighbor: 2, Cost: 1}, {Neighbor: 1, Cost: 1}})
+}
+
+// TestNextHopResumesAcrossLookups checks that the tree is resumed, not
+// rebuilt: with an unchanged version a later lookup continues from the
+// settled prefix, and an edit that changes nothing keeps it.
+func TestNextHopResumesAcrossLookups(t *testing.T) {
+	g := NewGraph(5)
+	for i := 0; i < 4; i++ {
+		g.SetEdge(i, i+1, 1)
+	}
+	if next := g.NextHop(0, 1); next != 1 {
+		t.Fatalf("NextHop(0, 1) = %d, want 1", next)
+	}
+	if g.tree.done[4] {
+		t.Fatal("lookup for 1 settled the far end of the line")
+	}
+	g.SetEdge(0, 1, 1) // same weight: no change, tree kept
+	if !g.tree.done[1] {
+		t.Fatal("a no-op edit re-seeded the tree")
+	}
+	if next, dist := g.NextHop(0, 4), g.tree.dist[4]; next != 1 || dist != 4 {
+		t.Fatalf("NextHop(0, 4) = (%d, %v), want (1, 4)", next, dist)
+	}
 }
 
 // TestHistoryPackedTableMatchesMap drives the open-addressed history and
